@@ -45,10 +45,10 @@ freshness histogram:
    journal and the write path retries exactly once.
 5. **Zero constraint violations served** — a full constraint-engine
    scan of the merged cluster snapshot (what a bootstrapping client
-   receives) finds no ERROR-severity violation. The cluster layer has
-   no quarantine store of its own; the gate lives in the ingest
-   pipeline fronting each shard, so this is certified from the served
-   state alone.
+   receives) finds no ERROR-severity violation. No shard runs the
+   verify gate: the cluster write path applies patches unchecked, and
+   this invariant holds only because :class:`ClusterWorkload` injects
+   no malformed geometry (gating cluster writes is ROADMAP item 2).
 
 A faults-disabled run is the parity probe: its canonical merged bytes
 must equal :meth:`ClusterChaosHarness.run_plain` — the same patch stream
@@ -191,18 +191,14 @@ class ClusterChaosHarness:
             configure_tracing(enabled=True,
                               sample_rate=w.trace_sample_rate)
         t_start = time.perf_counter()
-        # pipeline/replica_reads explicitly on: the invariants are
-        # certified against the concurrent read path (kill-mid-pipeline,
-        # replica-served reads under the version floor), not the legacy
-        # lockstep baseline. With tracing on, the telemetry harvester
-        # pulls shard rings in the background so shard-side
-        # fault_injected events (the slow fault fires inside the shard
-        # process) land in the merged log before the report is built.
+        # With tracing on, the telemetry harvester pulls shard rings in
+        # the background so shard-side fault_injected events (the slow
+        # fault fires inside the shard process) land in the merged log
+        # before the report is built.
         router = ClusterRouter(
             self.hdmap, n_shards=w.n_shards, tile_size=w.tile_size,
             replicas=w.replicas, transport=w.transport,
             call_timeout_s=w.call_timeout_s, lease_s=w.lease_s,
-            pipeline=True, replica_reads=True,
             telemetry_interval_s=0.5 if tracing else None)
         try:
             crash = self.plan.point(CLUSTER_SHARD_CRASH)
@@ -439,10 +435,9 @@ class ClusterChaosHarness:
                 f"over {count} write(s)", samples=count))
 
         # 5 -- zero constraint violations served ------------------------
-        # The cluster write path has no quarantine surface of its own
-        # (the verify gate lives in the single-node ingest pipeline each
-        # shard fronts), so here the invariant is certified purely from
-        # the merged served state: a full constraint scan must find no
-        # ERROR in what clients would bootstrap.
+        # No shard runs the verify gate, so the invariant is certified
+        # purely from the merged served state: a full constraint scan
+        # must find no ERROR in what clients would bootstrap. It passes
+        # only because ClusterWorkload injects no malformed geometry.
         out.append(check_served_map_clean(merged))
         return out

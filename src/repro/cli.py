@@ -660,15 +660,20 @@ def _cmd_chaos_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cluster_read_throughput(router, requests: int,
-                             clients: int) -> tuple:
+def _cluster_read_throughput(router, requests: int, clients: int,
+                             lockstep: bool = False) -> tuple:
     """Aggregate encoded-GetTile req/s against a live router.
 
     Clients are pinned to one shard and walk *disjoint* subsets of its
     tiles, so two clients never issue the same tile concurrently — the
     router's single-flight coalescing cannot share responses and the
     number measures backend capacity, nothing else.
+
+    ``lockstep=True`` is the serialized baseline the concurrent read
+    path is gated against: clients of one shard share a lock held
+    around each request, so every shard has at most one read in flight.
     """
+    import contextlib
     import threading
 
     from repro.serve.api import GetTile
@@ -678,6 +683,8 @@ def _cluster_read_throughput(router, requests: int,
         by_shard.setdefault(router.owner_of_tile(tile), []).append(tile)
     shard_tiles = [by_shard[s] for s in sorted(by_shard)]
     n_lists = len(shard_tiles)
+    shard_locks = [threading.Lock() if lockstep
+                   else contextlib.nullcontext() for _ in shard_tiles]
     errors = [0] * clients
     done = [0] * clients
     share = [requests // clients] * clients
@@ -686,13 +693,16 @@ def _cluster_read_throughput(router, requests: int,
 
     def worker(me: int) -> None:
         tiles = shard_tiles[me % n_lists]
+        lock = shard_locks[me % n_lists]
         rank = me // n_lists
         peers = len(range(me % n_lists, clients, n_lists))
         mine = tiles[rank % len(tiles)::peers] or \
             [tiles[rank % len(tiles)]]
         for k in range(share[me]):
             tile = mine[k % len(mine)]
-            response = router.request(GetTile(tile=tile, encoded=True))
+            with lock:
+                response = router.request(
+                    GetTile(tile=tile, encoded=True))
             if not response.ok:
                 errors[me] += 1
             done[me] += 1
@@ -716,14 +726,15 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
     The sweep measures aggregate encoded-GetTile throughput per shard
     count (pipelined connections, so N shards x W workers concurrent
     requests overlap their simulated service cost). ``--pipeline`` adds
-    the read-path suite: replica read scaling vs the legacy lockstep
-    baseline, concurrent vs serial scatter-gather, and single-flight
-    GetTile coalescing with byte-parity. ``--trace-sample-rate`` adds
-    the telemetry-plane suite: interleaved traced/untraced read rounds
-    bound the sampling overhead, and a guaranteed-sampled request must
-    reconstruct as one merged cross-process span tree after a telemetry
-    harvest. ``--check-scaling`` turns the measured ratios into hard
-    gates; every number lands in ``--out``.
+    the read-path suite: replica read scaling vs a lockstep client
+    baseline, concurrent scatter-gather vs the serial floor, and
+    single-flight GetTile coalescing with byte-parity.
+    ``--trace-sample-rate`` adds the telemetry-plane suite: interleaved
+    traced/untraced read rounds bound the sampling overhead, and a
+    guaranteed-sampled request must reconstruct as one merged
+    cross-process span tree after a telemetry harvest.
+    ``--check-scaling`` turns the measured ratios into hard gates; every
+    number lands in ``--out``.
     """
     import json
     import threading
@@ -786,24 +797,23 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
 
     # -- pipelined read-path suite --------------------------------------
     if args.pipeline:
-        # 1. Replica read scaling: 1 replica/shard with pipelining vs
-        # the replica-less legacy lockstep router at equal shard count.
+        # 1. Replica read scaling: 1 replica/shard vs a replica-less
+        # router read in lockstep (one request in flight per shard) at
+        # equal shard count.
         n_shards = 2
         clients = max(args.clients, 16)
         print(f"replica read scaling: {n_shards} shard(s), {clients} "
               f"client(s), {args.requests} requests per mode")
         baseline_rps = replicated_rps = 0.0
-        for label, kwargs in (
-                ("baseline", dict(replicas=0, pipeline=False)),
-                ("1 replica", dict(replicas=1, pipeline=True,
-                                   replica_reads=True))):
+        for label, replicas in (("baseline", 0), ("1 replica", 1)):
             router = ClusterRouter(
                 hdmap, n_shards=n_shards, tile_size=args.tile_size,
-                transport=args.transport, n_workers=args.workers,
-                service_latency_s=latency_s, **kwargs)
+                replicas=replicas, transport=args.transport,
+                n_workers=args.workers, service_latency_s=latency_s)
             try:
                 rps, failed, _ = _cluster_read_throughput(
-                    router, args.requests, clients)
+                    router, args.requests, clients,
+                    lockstep=replicas == 0)
                 hits = router.replica_hits.value
             finally:
                 router.close()
@@ -831,10 +841,11 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
 
         # 2 + 3. Scatter-gather and coalescing share one slow-handler
         # router: every shard call pays the simulated service cost, so
-        # serial broadcasts cost ~shards x latency while concurrent
-        # ones cost ~1 x, and concurrent identical GetTiles overlap
-        # long enough to coalesce. Six shards put the ideal speedup at
-        # 6x — comfortable margin over the 3x gate on noisy runners.
+        # a serial walk cannot beat shards x latency per broadcast while
+        # concurrent ones cost ~1 x, and concurrent identical GetTiles
+        # overlap long enough to coalesce. Six shards put the ideal
+        # speedup at 6x — comfortable margin over the 3x gate on noisy
+        # runners.
         scatter_shards = 6
         router = ClusterRouter(
             hdmap, n_shards=scatter_shards, tile_size=args.tile_size,
@@ -842,30 +853,24 @@ def _cmd_cluster_bench(args: argparse.Namespace) -> int:
             service_latency_s=latency_s)
         try:
             broadcasts = 10
-            timings = {}
-            # Concurrent first: it pays any warmup, which only flatters
-            # the serial baseline — conservative for the gate.
-            for mode in ("concurrent", "serial"):
-                router.scatter = mode
-                t0 = time.perf_counter()
-                for _ in range(broadcasts):
-                    response = router.request(ChangesSince(since_version=0))
-                    if not response.ok:
-                        failures.append(f"scatter suite: {response.error}")
-                timings[mode] = time.perf_counter() - t0
-            router.scatter = "concurrent"
-            scatter_speedup = timings["serial"] / timings["concurrent"] \
-                if timings["concurrent"] > 0 else 0.0
+            serial_floor_s = broadcasts * scatter_shards * latency_s
+            t0 = time.perf_counter()
+            for _ in range(broadcasts):
+                response = router.request(ChangesSince(since_version=0))
+                if not response.ok:
+                    failures.append(f"scatter suite: {response.error}")
+            concurrent_s = time.perf_counter() - t0
+            scatter_speedup = serial_floor_s / concurrent_s \
+                if concurrent_s > 0 else 0.0
             report["gates"]["scatter_speedup"] = {
-                "serial_s": round(timings["serial"], 3),
-                "concurrent_s": round(timings["concurrent"], 3),
+                "serial_floor_s": round(serial_floor_s, 3),
+                "concurrent_s": round(concurrent_s, 3),
                 "factor": round(scatter_speedup, 2),
                 "required": args.min_scatter_speedup}
             print(f"scatter-gather ({broadcasts} ChangesSince broadcasts "
-                  f"over {scatter_shards} shards): serial "
-                  f"{timings['serial']:.2f}s, concurrent "
-                  f"{timings['concurrent']:.2f}s -> "
-                  f"{scatter_speedup:.2f}x "
+                  f"over {scatter_shards} shards): serial floor "
+                  f"{serial_floor_s:.2f}s, concurrent "
+                  f"{concurrent_s:.2f}s -> {scatter_speedup:.2f}x "
                   f"(required >= {args.min_scatter_speedup:g}x)")
             if check and scatter_speedup < args.min_scatter_speedup:
                 failures.append(f"scatter speedup {scatter_speedup:.2f}x "
@@ -1422,9 +1427,10 @@ def build_parser() -> argparse.ArgumentParser:
                          default="process")
     cluster.add_argument("--pipeline", action="store_true",
                          help="run the concurrent read-path suite: "
-                              "replica read scaling vs the lockstep "
-                              "baseline, concurrent vs serial scatter-"
-                              "gather, and GetTile coalescing parity")
+                              "replica read scaling vs a lockstep "
+                              "client baseline, concurrent scatter-"
+                              "gather vs the serial floor, and GetTile "
+                              "coalescing parity")
     cluster.add_argument("--check-scaling", type=float, default=None,
                          nargs="?", const=-1.0, metavar="FACTOR",
                          help="enforce the gates; with a FACTOR, require "
@@ -1434,8 +1440,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="required 1-replica/shard vs replica-less "
                               "read throughput ratio (--pipeline)")
     cluster.add_argument("--min-scatter-speedup", type=float, default=3.0,
-                         help="required serial/concurrent scatter-gather "
-                              "latency ratio (--pipeline)")
+                         help="required ratio of the serial floor "
+                              "(shards x service latency) to the "
+                              "concurrent scatter-gather latency "
+                              "(--pipeline)")
     cluster.add_argument("--trace-sample-rate", type=float, default=None,
                          metavar="RATE",
                          help="run the telemetry-plane suite: measure "

@@ -41,8 +41,7 @@ floor**: a reply below the shard version this router has already
 observed is discarded (``cluster.read.replica_lag``) and the read
 retries on the primary, so replica scaling never weakens version
 monotonicity. Identical concurrent GetTiles coalesce into a single
-flight (``cluster.read.coalesced``). ``pipeline=False`` restores the
-legacy lockstep discipline as a measurement baseline.
+flight (``cluster.read.coalesced``).
 
 Reads fail over to a replica when the primary dies mid-call; writes
 restart the primary first (replicas receive acked patches synchronously,
@@ -457,9 +456,6 @@ class ClusterRouter:
                  registry: Optional[MetricsRegistry] = None,
                  pack_path: Optional[str] = None,
                  journal_warn_threshold: int = 10_000,
-                 pipeline: bool = True,
-                 replica_reads: bool = True,
-                 scatter: str = "concurrent",
                  clock: Callable[[], float] = time.monotonic,
                  telemetry_interval_s: Optional[float] = None,
                  telemetry_batch: int = 512) -> None:
@@ -469,25 +465,11 @@ class ClusterRouter:
             raise ClusterError("replicas must be >= 0")
         if transport not in ("process", "local"):
             raise ClusterError(f"unknown transport {transport!r}")
-        if scatter not in ("concurrent", "serial"):
-            raise ClusterError(f"unknown scatter mode {scatter!r}")
         self.n_shards = n_shards
         self.replicas = replicas
         self.transport = transport
         self.call_timeout_s = call_timeout_s
         self.lease_s = lease_s
-        #: ``pipeline=False`` restores the legacy one-outstanding-call-
-        #: per-shard read discipline (the handle lock held across the
-        #: RPC) — the measurement baseline ``cluster-bench --pipeline``
-        #: compares against. Writes serialize either way.
-        self.pipeline = pipeline
-        #: route eligible reads round-robin across primary + replicas
-        #: (guarded by the per-request version floor); ``False`` keeps
-        #: replicas failover-only.
-        self.replica_reads = replica_reads
-        #: scatter-gather dispatch: ``"concurrent"`` issues all shard
-        #: calls at once and joins; ``"serial"`` iterates (baseline).
-        self.scatter = scatter
         self._start_method = start_method
         self._clock = clock
         self._name = hdmap.name
@@ -823,7 +805,10 @@ class ClusterRouter:
                 continue
             try:
                 response = self._call(replica, "serve", request,
-                                      timeout_s=self.call_timeout_s)
+                                      timeout_s=self.call_timeout_s,
+                                      attrs={"shard": index,
+                                             "replica": slot,
+                                             "failover": True})
             except (ShardDead, ShardTimeout):
                 continue
             self.failovers.add()
@@ -838,14 +823,7 @@ class ClusterRouter:
         live replicas when eligible, else pin to the primary. Never
         raises — routing failure becomes an ERROR response."""
         handle = self._handles[index]
-        if not self.pipeline:
-            # Legacy lockstep discipline: one outstanding read per
-            # shard, the handle lock held across the RPC (the baseline
-            # `cluster-bench --pipeline` measures against).
-            with handle.lock:
-                return self._read_primary(index, request)
-        if (self.replica_reads and handle.replicas
-                and isinstance(request, _REPLICA_READ_KINDS)):
+        if handle.replicas and isinstance(request, _REPLICA_READ_KINDS):
             with handle.lock:
                 choices: List[Tuple[Optional[int], Any]] = []
                 if handle.primary is not None and handle.primary.alive:
@@ -923,9 +901,7 @@ class ClusterRouter:
                     return response
             shard = self._ensure_primary_locked(handle)
         # The RPC itself runs outside the handle lock: the pipelined
-        # connection multiplexes any number of concurrent calls. (Under
-        # pipeline=False the caller holds the RLock around this whole
-        # method, restoring the serialized discipline.)
+        # connection multiplexes any number of concurrent calls.
         try:
             response = self._call(shard, "serve", request,
                                   timeout_s=self.call_timeout_s,
@@ -975,10 +951,7 @@ class ClusterRouter:
     def _get_tile(self, request: GetTile) -> Response:
         """Single-flight GetTile: identical concurrent requests collapse
         onto one shard read, and followers return the leader's response
-        object — byte-identical by construction. Part of the concurrent
-        read path, so the legacy baseline skips it."""
-        if not self.pipeline:
-            return self._read(self.owner_of_tile(request.tile), request)
+        object — byte-identical by construction."""
         key = (request.tile, request.encoded, request.max_staleness)
         with self._flight_lock:
             flight = self._flights.get(key)
@@ -1008,9 +981,9 @@ class ClusterRouter:
 
     def _scatter(self, indices: List[int],
                  fn: Callable[[int], Response]) -> Dict[int, Response]:
-        """Run ``fn`` once per shard index — all at once unless
-        configured ``scatter="serial"`` — never raising: a failure
-        becomes that shard's ERROR response."""
+        """Run ``fn`` once per shard index, all at once (inline for a
+        single index), never raising: a failure becomes that shard's
+        ERROR response."""
         def run_one(i: int) -> Response:
             try:
                 return fn(i)
@@ -1018,9 +991,8 @@ class ClusterRouter:
                 return Response(Status.ERROR, error=str(exc))
 
         results: Dict[int, Response] = {}
-        if self.scatter == "serial" or len(indices) == 1:
-            for i in indices:
-                results[i] = run_one(i)
+        if len(indices) == 1:
+            results[indices[0]] = run_one(indices[0])
             return results
 
         # Fresh threads start with an empty contextvar; re-attach the
@@ -1094,7 +1066,10 @@ class ClusterRouter:
                     applied = list(tile_ops)
                     if result.accepted and result.dropped_ops:
                         log = self._call(shard, "changelog",
-                                         timeout_s=self.call_timeout_s)
+                                         timeout_s=self.call_timeout_s,
+                                         attrs={"shard": index,
+                                                "replica": "primary",
+                                                "write": True})
                         applied = self._match_applied(
                             tile_ops, [c for v, c in log
                                        if v == result.version])
@@ -1240,8 +1215,8 @@ class ClusterRouter:
         owner, n_shards = self._owner, self.n_shards
         deltas: Dict[int, SyncDelta] = {}
         versions: Dict[int, int] = {}
-        # Every shard's ChangesSince goes out at once (subject to the
-        # scatter mode); the merge below runs in shard order either way.
+        # Every shard's ChangesSince goes out at once; the merge below
+        # runs in shard order regardless of completion order.
         responses = self._scatter(
             list(range(n_shards)),
             lambda i: self._read(

@@ -28,17 +28,14 @@ timed out on a slow shard and moved on can recognise and discard the
 late reply instead of mis-attributing it to the next request — without
 that, one slow reply would desynchronise the connection forever.
 
-Two connection disciplines share the wire format:
-
-- :class:`RpcConnection` — lockstep, one request in flight (kept for
-  tools and tests that want the simplest possible client);
-- :class:`PipelinedConnection` — many requests in flight on one socket.
-  Senders serialize on a send lock; a dedicated reader thread matches
-  every reply to its waiting caller by the echoed id. A caller that
-  times out abandons its id, so the late reply is dropped by the reader
-  (``late_discards``) without desynchronising anyone else, and replies
-  may legally arrive out of order (the shard side answers ``serve`` ops
-  as its worker pool finishes them).
+The router's end of a shard socket is a :class:`PipelinedConnection`:
+many requests in flight on one socket. Senders serialize on a send
+lock; a dedicated reader thread matches every reply to its waiting
+caller by the echoed id. A caller that times out abandons its id, so
+the late reply is dropped by the reader (``late_discards``) without
+desynchronising anyone else, and replies may legally arrive out of
+order (the shard side answers ``serve`` ops as its worker pool finishes
+them).
 
 Failure taxonomy (what the router's failover logic keys on):
 
@@ -161,44 +158,6 @@ def recv_frame(sock: socket.socket) -> Tuple[int, Any]:
     return request_id, pickle.loads(raw)
 
 
-class RpcConnection:
-    """The router's end of one shard socket: lockstep request/reply.
-
-    One request is in flight at a time (callers serialize through the
-    shard handle's lock). Late replies from a previous timed-out request
-    are recognised by id and discarded, so a timeout does not poison the
-    stream for the caller that follows.
-    """
-
-    def __init__(self, sock: socket.socket) -> None:
-        self._sock = sock
-        self._next_id = 1
-
-    def call(self, op: str, payload: Any = None,
-             timeout_s: Optional[float] = None,
-             trace_ctx: Any = None) -> Any:
-        request_id = self._next_id
-        self._next_id += 1
-        self._sock.settimeout(timeout_s)
-        body = (op, payload) if trace_ctx is None \
-            else (op, payload, trace_ctx)
-        send_frame(self._sock, request_id, body)
-        while True:
-            reply_id, body = recv_frame(self._sock)
-            if reply_id != request_id:
-                continue  # stale reply from a timed-out predecessor
-            status, result = body
-            if status == "err":
-                raise RpcError(str(result))
-            return result
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-
 class _Waiter:
     """One caller's slot in the pipelined in-flight table."""
 
@@ -216,8 +175,7 @@ class PipelinedConnection:
     Any number of threads may :meth:`call` concurrently. Each call takes
     a fresh request id, registers a waiter, and sends under the send
     lock; the reader thread delivers every reply to its waiter by the
-    echoed id. The failure taxonomy is unchanged from the lockstep
-    connection:
+    echoed id. Failures map onto the module's taxonomy:
 
     - a call that sees no reply inside its own deadline raises
       :class:`ShardTimeout` and *abandons* its id — when the reply

@@ -512,21 +512,26 @@ class TestGetTileCoalescing:
             assert all(p == want for p in payloads)
             assert router.read_coalesced.value >= 1
 
-    def test_legacy_lockstep_router_never_coalesces(self, city):
-        store = TileStore.build(city, 120.0)
-        with _local_router(city, pipeline=False,
-                           service_latency_s=0.02) as router:
-            tile = store.tiles()[0]
-            threads = [threading.Thread(
-                target=lambda: router.request(
-                    GetTile(tile=tile, encoded=True)))
-                for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+    def test_bench_lockstep_baseline_never_overlaps(self, city):
+        """The benchmark's lockstep baseline keeps one read in flight
+        per shard, so nothing coalesces and two shards peak at two."""
+        from repro.cli import _cluster_read_throughput
+
+        with _local_router(city, service_latency_s=0.02) as router:
+            _, errors, _ = _cluster_read_throughput(
+                router, 24, 8, lockstep=True)
+            assert errors == 0
             assert router.read_coalesced.value == 0
-            assert router.replica_hits.value == 0
+            assert router.stats()["inflight_peak"] <= 2
+
+
+class TestScatterGather:
+    def test_broadcast_calls_shards_concurrently(self, city):
+        with _local_router(city, n_shards=4,
+                           service_latency_s=0.05) as router:
+            response = router.request(ChangesSince(since_version=0))
+            assert response.ok
+            assert router.stats()["inflight_peak"] >= 2
 
 
 class TestProcessTransport:

@@ -17,7 +17,7 @@ from repro.obs import (
     configure_tracing,
     verify_spans,
 )
-from repro.serve.api import GetTile
+from repro.serve.api import GetTile, Snapshot
 from repro.storage.binary import encode_map
 
 
@@ -69,6 +69,18 @@ class TestCrossProcessTrace:
         assert shard_span["attrs"]["shard"] in (0, 1)
         assert str(shard_span["attrs"]["role"]) in ("primary", "replica0")
         assert rpc_span["attrs"]["replica"] in ("primary", 0)
+
+    def test_failover_read_span_names_its_shard(self, city, traced):
+        with ClusterRouter(city, n_shards=2, tile_size=120.0,
+                           transport="local", replicas=1) as router:
+            router.kill_shard(0)
+            assert router.request(Snapshot()).ok
+        failover = [s.as_dict() for s in TRACER.recorder.spans()
+                    if s.name == "cluster.rpc.serve"
+                    and s.attrs.get("failover")]
+        assert failover
+        assert {(s["attrs"]["shard"], s["attrs"]["replica"])
+                for s in failover} == {(0, 0)}
 
     def test_unsampled_requests_ship_no_trace_context(self, city):
         """Tracing disabled: requests cross the wire as before and the

@@ -333,12 +333,12 @@ class TestPackServing:
 class TestRawRpcFrames:
     def _serve(self, dispatch):
         ours, theirs = socket.socketpair()
-        from repro.cluster.rpc import RpcConnection, serve_connection
+        from repro.cluster.rpc import PipelinedConnection, serve_connection
 
         thread = threading.Thread(target=serve_connection,
                                   args=(theirs, dispatch), daemon=True)
         thread.start()
-        return RpcConnection(ours)
+        return PipelinedConnection(ours)
 
     def test_raw_response_roundtrip(self, city_store, pack_path):
         reader = PackReader(pack_path)
