@@ -3,68 +3,24 @@ consistency under concurrent ingest + sync (the survey's closing open
 problem of distributing "enormous map data" to fleets [73]).
 
 A synthetic fleet drives spatially coherent routes against the serving
-layer while crowd-sourcing patches back into the map database. The shape
-assertions: a multi-worker pool must out-serve a single worker under the
-same (I/O-modelled) per-request cost, coherent drives must re-hit cached
-tiles (>0.8), and no vehicle may ever observe a torn delta or an
-out-of-order map version.
+layer while crowd-sourcing patches back into the map database
+(:func:`repro.bench.fleet_serve`). The shape assertions: a multi-worker
+pool must out-serve a single worker under the same (I/O-modelled)
+per-request cost, coherent drives must re-hit cached tiles (>0.8), and
+no vehicle may ever observe a torn delta or an out-of-order map version.
 """
 
 from conftest import once
 
-from repro.eval import ResultTable
-from repro.serve import FleetSimulator, MapService
-from repro.storage import TileStore
-from repro.update.distribution import MapDistributionServer
+from repro.bench import fleet_serve
 from repro.world import generate_grid_city
 
 
-def _run_fleet(city, store, n_workers):
-    server = MapDistributionServer(city.copy())
-    service = MapService(server, store, n_workers=n_workers,
-                         service_latency_s=0.002, storage_latency_s=0.002)
-    with service:
-        fleet = FleetSimulator(service, city, n_vehicles=8,
-                               route_length_m=2000.0, sync_every=5,
-                               ingest_every=7, seed=11)
-        return fleet.run()
-
-
-def _experiment(rng):
-    city = generate_grid_city(rng, 6, 5, block_size=200.0)
-    store = TileStore.build(city, tile_size=250.0)
-    return {workers: _run_fleet(city, store, workers) for workers in (1, 4)}
-
-
 def test_s01_fleet_serving(benchmark, rng):
-    results = once(benchmark, _experiment, rng)
-    solo, pool = results[1], results[4]
-
-    table = ResultTable("S1", "concurrent fleet-scale map serving")
-    table.add("4-worker vs 1-worker throughput", ">= 1x",
-              f"{pool.throughput_rps / max(solo.throughput_rps, 1e-9):.2f}x "
-              f"({solo.throughput_rps:.0f} -> {pool.throughput_rps:.0f} rps)",
-              ok=pool.throughput_rps >= solo.throughput_rps)
-    table.add("cache hit rate (coherent fleet drive)", "> 0.8",
-              f"{pool.cache_hit_rate:.3f}",
-              ok=pool.cache_hit_rate > 0.8)
-    violations = solo.consistency_violations + pool.consistency_violations
-    table.add("clients consistent after final sync",
-              f"{solo.n_vehicles + pool.n_vehicles}/"
-              f"{solo.n_vehicles + pool.n_vehicles}",
-              f"{solo.n_vehicles + pool.n_vehicles - violations}/"
-              f"{solo.n_vehicles + pool.n_vehicles}",
-              ok=violations == 0)
-    regressions = solo.version_regressions + pool.version_regressions
-    table.add("out-of-order versions observed", "0", str(regressions),
-              ok=regressions == 0)
-    table.add("handler errors", "0",
-              str(solo.error_total + pool.error_total),
-              ok=solo.error_total + pool.error_total == 0)
-    patches = sum(r.patches_sent for r in pool.vehicles)
-    table.add("patches ingested during 4-worker run", "> 0", str(patches),
-              ok=patches > 0)
-    query_p95 = pool.latency.get("SpatialQuery", {}).get("p95_s", 0.0)
-    table.add("spatial query p95", "reported", f"{1e3 * query_p95:.1f} ms")
+    city = generate_grid_city(rng, 6, 5, block_size=200.0)
+    table = once(benchmark, fleet_serve, city, (1, 4), tile_size=250.0,
+                 vehicles=8, route_length_m=2000.0, service_latency_s=0.002,
+                 storage_latency_s=0.002, seed=11)
+    table.experiment_id = "S1"
     table.print()
     assert table.all_ok()

@@ -5,21 +5,17 @@ run as one concurrent system).
 N producer vehicles stream detection/miss evidence into the tile-
 partitioned observation bus; M supervised stage workers fuse, classify,
 and publish patches into the same versioned database the serving layer
-reads. Shape assertions: worker pools must out-drain a single worker
-under the same (I/O-modelled) per-batch cost, every injected ground-truth
-change must be served within a bounded number of map versions, and the
-at-least-once uplink must never produce a duplicate applied patch.
+reads (:func:`repro.bench.ingest_run`). Shape assertions: worker pools
+must out-drain a single worker under the same (I/O-modelled) per-batch
+cost, every injected ground-truth change must be served within a bounded
+number of map versions, and the at-least-once uplink must never produce
+a duplicate applied patch.
 """
-
-import time
 
 import numpy as np
 from conftest import once
 
-from repro.core.changes import ChangeType
-from repro.eval import ResultTable
-from repro.ingest import FleetObservationSource, IngestPipeline
-from repro.update.distribution import MapDistributionServer
+from repro.bench import ingest_run
 from repro.world import generate_grid_city
 from repro.world.scenario import ChangeSpec, apply_changes
 
@@ -29,91 +25,15 @@ from repro.world.scenario import ChangeSpec, apply_changes
 _SEED = 7
 
 
-def _scenario():
+def test_s02_streaming_ingest(benchmark):
     rng = np.random.default_rng(_SEED)
     city = generate_grid_city(rng, 3, 2, block_size=150.0)
-    return apply_changes(city, ChangeSpec(remove_signs=2, add_signs=2), rng)
-
-
-def _run_ingest(scenario, n_workers):
-    server = MapDistributionServer(scenario.prior.copy())
-    pipe = IngestPipeline(server, tile_size=250.0, n_workers=n_workers,
-                          n_partitions=8, capacity_per_partition=8192,
-                          max_batch=16, stage_latency_s=0.005)
-    source = FleetObservationSource(
-        scenario, n_vehicles=4, route_length_m=1200.0, step_s=0.5,
-        routes_per_vehicle=3, duplicate_rate=0.15, seed=_SEED)
-    # N producer threads fill the bus, then M workers drain it — the
-    # timed section isolates consumption so throughput compares workers.
-    report = source.run(pipe.submit)
-    t0 = time.perf_counter()
-    with pipe:
-        drained = pipe.drain(60.0)
-    elapsed = time.perf_counter() - t0
-    assert drained
-    return {
-        "server": server,
-        "pipe": pipe,
-        "report": report,
-        "throughput": report.published / max(elapsed, 1e-9),
-    }
-
-
-def _experiment(rng):
-    scenario = _scenario()
-    return scenario, {w: _run_ingest(scenario, w) for w in (1, 4)}
-
-
-def test_s02_streaming_ingest(benchmark, rng):
-    scenario, runs = once(benchmark, _experiment, rng)
-    solo, pool = runs[1], runs[4]
-
-    table = ResultTable("S2", "streaming fleet-to-map ingestion")
-    table.add("4-worker vs 1-worker ingest throughput", ">= 1.3x",
-              f"{pool['throughput'] / max(solo['throughput'], 1e-9):.2f}x "
-              f"({solo['throughput']:.0f} -> {pool['throughput']:.0f} obs/s)",
-              ok=pool["throughput"] >= 1.3 * solo["throughput"])
-
-    changes = pool["server"].changes_since(0)
-    removed = [c.element_id for c in changes
-               if c.change_type is ChangeType.REMOVED]
-    added = [c.position for c in changes
-             if c.change_type is ChangeType.ADDED]
-    served = 0
-    for true_change in scenario.true_changes:
-        if true_change.change_type is ChangeType.REMOVED:
-            served += true_change.element_id in removed
-        else:
-            tx, ty = true_change.position
-            served += any(np.hypot(tx - ax, ty - ay) <= 6.0
-                          for ax, ay in added)
-    n_true = len(scenario.true_changes)
-    table.add("injected ground-truth changes served",
-              f"{n_true}/{n_true}", f"{served}/{n_true}",
-              ok=served == n_true)
-
-    dup_removed = len(removed) - len(set(removed))
-    dup_added = sum(1 for i, (ax, ay) in enumerate(added)
-                    for bx, by in added[i + 1:]
-                    if np.hypot(ax - bx, ay - by) <= 4.0)
-    table.add("duplicate applied patches (at-least-once uplink)", "0",
-              str(dup_removed + dup_added),
-              ok=dup_removed + dup_added == 0)
-    table.add("uplink duplicates collapsed by dedup key", "> 0",
-              str(pool["report"].deduplicated),
-              ok=pool["report"].deduplicated > 0)
-
-    version_bound = 2 * n_true
-    table.add("map versions to serve all changes", f"<= {version_bound}",
-              str(pool["server"].version),
-              ok=pool["server"].version <= version_bound)
-
-    stats = pool["pipe"].stats()
-    table.add("dead letters", "0", str(stats["batches"]["dead_letters"]),
-              ok=stats["batches"]["dead_letters"] == 0)
-    table.add("map freshness lag p95", "reported",
-              f"{1e3 * stats['freshness']['p95_s']:.1f} ms")
-    fuse_p95 = stats["stage_latency"]["fuse"]["p95_s"]
-    table.add("fuse stage p95", "reported", f"{1e3 * fuse_p95:.2f} ms")
+    scenario = apply_changes(city, ChangeSpec(remove_signs=2, add_signs=2),
+                             rng)
+    table = once(benchmark, ingest_run, scenario, (1, 4), tile_size=250.0,
+                 vehicles=4, routes=3, route_length_m=1200.0,
+                 duplicate_rate=0.15, stage_latency_s=0.005, max_batch=16,
+                 seed=_SEED, drain_timeout_s=60.0)
+    table.experiment_id = "S2"
     table.print()
     assert table.all_ok()

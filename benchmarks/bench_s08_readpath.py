@@ -2,8 +2,9 @@
 
 The paper's distribution tier serves a fleet whose read load dwarfs its
 write load: base-map tiles are fetched continuously while change-feed
-publishes trickle. PR 8 makes that read path concurrent end to end, and
-this bench certifies each layer's speedup on the synthetic substrate:
+publishes trickle. The cluster read path is concurrent end to end, and
+this bench certifies each layer's speedup on the synthetic substrate
+(:func:`repro.bench.read_path`):
 
 - **replica read scaling** — round-robining ``GetTile`` across primary
   + 1 replica per shard (with the version-floor staleness guard) must
@@ -12,113 +13,34 @@ this bench certifies each layer's speedup on the synthetic substrate:
 - **pipelined scatter-gather** — a ``ChangesSince`` broadcast across 6
   slow shards issued concurrently must beat the serial floor (6 x the
   service latency, which no per-shard walk can undercut) by >= 3x
-  (ideal: 6x, one service sleep instead of six);
+  (ideal: 6x, one service sleep instead of six), returning one delta
+  per shard;
 - **single-flight coalescing** — a burst of identical concurrent
-  ``GetTile`` requests collapses onto one shard read with byte-identical
-  responses (zero divergence), so a thundering herd on a hot tile costs
-  one backend fetch.
+  ``GetTile`` requests collapses onto one shard read with responses
+  byte-identical to a fresh uncoalesced read (zero divergence), so a
+  thundering herd on a hot tile costs one backend fetch.
 """
 
-import threading
-import time
+from functools import partial
 
 import numpy as np
 from conftest import once
 
-from repro.cli import _cluster_read_throughput
+from repro.bench import read_path
 from repro.cluster import ClusterRouter
-from repro.eval import ResultTable
-from repro.serve.api import GetTile
 from repro.world import generate_grid_city
 
 _SEED = 7
-_REQUESTS = 320
-_CLIENTS = 16
-_SERVICE_LATENCY_S = 0.02
-_SCATTER_SHARDS = 6
-_BURST = 8
 
 
-def _replica_throughput(city, replicas):
-    router = ClusterRouter(city, n_shards=2, tile_size=120.0,
-                           replicas=replicas, transport="process",
-                           n_workers=2,
-                           service_latency_s=_SERVICE_LATENCY_S)
-    try:
-        throughput, errors, _ = _cluster_read_throughput(
-            router, _REQUESTS, _CLIENTS, lockstep=replicas == 0)
-        assert errors == 0
-        return throughput, router.replica_hits.value
-    finally:
-        router.close()
-
-
-def _experiment(rng):
+def test_s08_readpath(benchmark):
     city = generate_grid_city(np.random.default_rng(_SEED), 3, 2,
                               block_size=150.0)
-
-    # Layer 2: replica-less lockstep baseline vs pipelined + 1 replica.
-    base_tp, _ = _replica_throughput(city, replicas=0)
-    repl_tp, replica_hits = _replica_throughput(city, replicas=1)
-
-    router = ClusterRouter(city, n_shards=_SCATTER_SHARDS, tile_size=120.0,
-                           transport="process", n_workers=2,
-                           service_latency_s=_SERVICE_LATENCY_S)
-    try:
-        # Layer 1: scatter-gather broadcast against the serial floor.
-        rounds = 8
-        t0 = time.perf_counter()
-        for _ in range(rounds):
-            delta = router.changes_since(
-                {i: 0 for i in range(_SCATTER_SHARDS)})
-            assert len(delta.deltas) == _SCATTER_SHARDS
-        concurrent_s = (time.perf_counter() - t0) / rounds
-        serial_floor_s = _SCATTER_SHARDS * _SERVICE_LATENCY_S
-
-        # Layer 3: thundering herd on one hot tile.
-        tile = router.tiles()[0]
-        payloads = [None] * _BURST
-        barrier = threading.Barrier(_BURST)
-
-        def one(slot):
-            barrier.wait()
-            response = router.request(GetTile(tile=tile, encoded=True))
-            payloads[slot] = response.payload if response.ok else None
-
-        threads = [threading.Thread(target=one, args=(s,))
-                   for s in range(_BURST)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        reference = router.request(GetTile(tile=tile, encoded=True)).payload
-        divergent = sum(1 for p in payloads
-                        if p is None or bytes(p) != bytes(reference))
-        coalesced = router.read_coalesced.value
-    finally:
-        router.close()
-    return (base_tp, repl_tp, replica_hits, serial_floor_s,
-            concurrent_s, coalesced, divergent)
-
-
-def test_s08_readpath(benchmark, rng):
-    (base_tp, repl_tp, replica_hits, serial_floor_s, concurrent_s,
-     coalesced, divergent) = once(benchmark, _experiment, rng)
-
-    table = ResultTable("S8", "concurrent read path: replicas + pipelining")
-    factor = repl_tp / base_tp if base_tp > 0 else 0.0
-    table.add("GetTile throughput, lockstep no-replica", "> 0 req/s",
-              f"{base_tp:.1f} req/s", ok=base_tp > 0)
-    table.add("read scaling with 1 replica/shard", ">= 2x",
-              f"{factor:.2f}x", ok=factor >= 2.0)
-    table.add("replica reads served", "> 0", str(replica_hits),
-              ok=replica_hits > 0)
-    speedup = serial_floor_s / concurrent_s if concurrent_s > 0 else 0.0
-    table.add(f"scatter-gather vs serial floor, {_SCATTER_SHARDS} shards",
-              ">= 3x", f"{speedup:.2f}x", ok=speedup >= 3.0)
-    table.add("hot-tile burst coalesced", "> 0 coalesced",
-              str(coalesced), ok=coalesced > 0)
-    table.add("coalesced response divergence", "0 divergent",
-              str(divergent), ok=divergent == 0)
+    make_router = partial(ClusterRouter, city, tile_size=120.0,
+                          transport="process", n_workers=2)
+    table = once(benchmark, read_path, make_router, 320, 16,
+                 service_latency_s=0.02, broadcasts=8,
+                 min_replica_speedup=2.0, min_scatter_speedup=3.0)
+    table.experiment_id = "S8"
     table.print()
     assert table.all_ok()

@@ -515,10 +515,10 @@ class TestGetTileCoalescing:
     def test_bench_lockstep_baseline_never_overlaps(self, city):
         """The benchmark's lockstep baseline keeps one read in flight
         per shard, so nothing coalesces and two shards peak at two."""
-        from repro.cli import _cluster_read_throughput
+        from repro.bench import cluster_read_throughput
 
         with _local_router(city, service_latency_s=0.02) as router:
-            _, errors, _ = _cluster_read_throughput(
+            _, errors, _ = cluster_read_throughput(
                 router, 24, 8, lockstep=True)
             assert errors == 0
             assert router.read_coalesced.value == 0

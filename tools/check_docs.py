@@ -44,6 +44,7 @@ KNOB_NAMESPACES = (
     "repro.update.distribution",
     "repro.cluster",
     "repro.pack",
+    "repro.bench",
 )
 
 #: Operator-facing handbooks whose metric names and knobs must resolve.
@@ -86,7 +87,7 @@ def _metric_universe() -> Set[str]:
     """Registered names of a real workload (dynamic names included)."""
     import numpy as np
 
-    from repro.cli import _obs_workload
+    from repro.bench import obs_workload
     from repro.storage import save_map
     from repro.world import generate_grid_city
 
@@ -100,7 +101,7 @@ def _metric_universe() -> Set[str]:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "city.json")
         save_map(city, path)
-        registry = _obs_workload(path, seed=7)
+        registry = obs_workload(path, seed=7)
     names = set(registry.snapshot())
 
     # The fleet workload never issues GetTile; cover its dynamic
