@@ -101,7 +101,7 @@ from repro.serve.api import (
     Status,
 )
 from repro.serve.metrics import ServiceMetrics
-from repro.storage.binary import encode_map
+from repro.storage.binary import encode_elements
 from repro.storage.tilestore import TileStore
 from repro.update.distribution import IngestResult, SyncDelta
 
@@ -644,13 +644,10 @@ class ClusterRouter:
     def _config_for(self, index: int, owner: Dict[TileId, int],
                     n_shards: int) -> ShardConfig:
         owned = {tile for tile, shard in owner.items() if shard == index}
-        base = HDMap(f"{self._name}-shard{index}")
-        for tile in sorted(owned):
-            for element in self._partition.get(tile, []):
-                base.add(element)
+        base = [element for tile in sorted(owned)
+                for element in self._partition.get(tile, [])]
         if index == 0:
-            for element in self._nonspatial:
-                base.add(element)
+            base += self._nonspatial
         owned_blob_tiles = sorted(tile for tile in owned
                                   if tile in self._store_blobs)
         if self._pack_path is not None:
@@ -660,7 +657,9 @@ class ClusterRouter:
                      for tile in owned_blob_tiles}
         return ShardConfig(
             index=index, tile_size=self._scheme.tile_size,
-            base_map_bytes=encode_map(base), blobs=blobs,
+            base_map_bytes=encode_elements(f"{self._name}-shard{index}", 0,
+                                           base),
+            blobs=blobs,
             replay=self._replay_for(index, owner, n_shards),
             name=f"{self._name}-shard",
             pack_path=self._pack_path,

@@ -59,6 +59,7 @@ def encode_delta(delta: SyncDelta) -> bytes:
     from repro.storage.binary import (
         QUANTUM,
         _encode_element,
+        _polyline_records,
         _write_f32,
         _write_id,
         _write_svarint,
@@ -85,13 +86,15 @@ def encode_delta(delta: SyncDelta) -> bytes:
         _write_varint(body, len(raw))
         body.write(raw)
     _write_varint(body, len(delta.elements))
+    present = [e for e in delta.elements.values() if e is not None]
+    polylines = iter(_polyline_records(present))
     for eid, element in delta.elements.items():
         _write_id(body, eid, kinds)
         if element is None:
             body.write(b"\x00")  # removed: id only, no payload
         else:
             body.write(b"\x01")
-            _encode_element(body, element, kinds)
+            _encode_element(body, element, kinds, next(polylines))
     payload = zlib.compress(body.getvalue(), level=6)
     return DELTA_MAGIC + struct.pack("<BI", DELTA_VERSION, len(payload)) \
         + payload
@@ -101,12 +104,16 @@ def decode_delta(data) -> SyncDelta:
     """Inverse of :func:`encode_delta`; :class:`StorageError` on any
     truncated, corrupt, or bad-magic input."""
     from repro.storage.binary import (
+        CORRUPT_BODY_ERRORS,
         QUANTUM,
+        _checked_extent,
         _decode_element,
+        _read_count,
         _read_f32,
         _read_id,
-        _read_varint,
+        _read_str,
         _read_svarint,
+        _read_varint,
     )
 
     data = bytes(data)
@@ -125,11 +132,9 @@ def decode_delta(data) -> SyncDelta:
         raise StorageError(f"corrupt HDDL payload: {exc}") from exc
     try:
         map_version = _read_varint(body)
-        n_kinds = _read_varint(body)
-        kinds = [body.read(_read_varint(body)).decode()
-                 for _ in range(n_kinds)]
+        kinds = [_read_str(body) for _ in range(_read_count(body))]
         changes: List[MapChange] = []
-        for _ in range(_read_varint(body)):
+        for _ in range(_read_count(body)):
             raw_tag = body.read(1)
             if not raw_tag:
                 raise StorageError("truncated change record")
@@ -144,22 +149,21 @@ def decode_delta(data) -> SyncDelta:
             y = _read_svarint(body) * QUANTUM
             magnitude = _read_f32(body) \
                 if change_type is ChangeType.MOVED else 0.0
-            detail = body.read(_read_varint(body)).decode()
+            detail = _read_str(body)
             changes.append(MapChange(change_type, eid, (x, y),
                                      magnitude=magnitude, detail=detail))
         elements: Dict[ElementId, Optional[object]] = {}
-        for _ in range(_read_varint(body)):
+        for _ in range(_read_count(body)):
             eid = _read_id(body, kinds)
             if eid is None:
                 raise StorageError("element record with null id")
             flag = body.read(1)
             if not flag:
                 raise StorageError("truncated element presence flag")
-            elements[eid] = _decode_element(body, kinds) \
+            elements[eid] = _checked_extent(_decode_element(body, kinds)) \
                 if flag[0] else None
         return SyncDelta(map_version, changes, elements)
     except StorageError:
         raise
-    except (struct.error, IndexError, UnicodeDecodeError,
-            ValueError, KeyError) as exc:
+    except CORRUPT_BODY_ERRORS as exc:
         raise StorageError(f"corrupt HDDL body: {exc}") from exc

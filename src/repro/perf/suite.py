@@ -33,6 +33,8 @@ HEADLINE_KERNELS: Tuple[str, ...] = (
     "polyline.project_batch",
     "lidar.scan",
     "grid.query_box",
+    "storage.build_tiles",
+    "storage.decode_tile",
 )
 
 #: Pinned fixture seed — keep stable so baselines stay comparable.
@@ -160,8 +162,14 @@ def run_perf_suite(repetitions: int = 20, warmup: int = 3
         speedups["grid.query_box"] = (grid_ref.median_s
                                       / max(grid.median_s, 1e-12))
 
-        # -- serving: GetTile / SpatialQuery under worker concurrency -----
+        # -- storage codec: encode every tile, decode the heaviest one ----
         store = TileStore.build(city, tile_size=150.0)
+        bench("storage.build_tiles",
+              lambda: TileStore.build(city, tile_size=150.0))
+        heaviest, _ = store.largest_tile()
+        bench("storage.decode_tile", lambda: store.load_tile(heaviest))
+
+        # -- serving: GetTile / SpatialQuery under worker concurrency -----
         server = MapDistributionServer(city.copy())
         tiles = store.tiles()
         with MapService(server, store, n_workers=4) as service:

@@ -8,6 +8,10 @@ discarding the laser point cloud and keeping only delta-coded vector data
 - element records packed with one-byte type tags,
 - zlib entropy coding over the whole payload.
 
+Polyline coordinates, the bulk of every blob, are coded array-at-a-time
+with numpy rather than one varint call per coordinate; the bytes are
+exactly those of the per-point loop, which the tests keep as reference.
+
 Round-trips everything :func:`repro.storage.geojson.map_to_dict` handles,
 at centimetre precision.
 """
@@ -17,7 +21,7 @@ from __future__ import annotations
 import struct
 import zlib
 from io import BytesIO
-from typing import BinaryIO, Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -40,7 +44,7 @@ from repro.core.elements import (
 from repro.core.hdmap import HDMap
 from repro.core.ids import ElementId
 from repro.core.regulatory import RegulatoryElement, RuleType
-from repro.errors import StorageError
+from repro.errors import GeometryError, MapModelError, StorageError
 from repro.geometry.polyline import Polyline
 
 MAGIC = b"HDMV"
@@ -66,6 +70,34 @@ _TAG_TYPES = {v: k for k, v in _TYPE_TAGS.items()}
 # ----------------------------------------------------------------------
 # Varint primitives
 # ----------------------------------------------------------------------
+#: Longest LEB128 varint a 64-bit value needs; a longer run is corrupt.
+MAX_VARINT_BYTES = 10
+
+#: Largest side, in metres, of a decoded element's bounding box. Map
+#: elements are lanes, roads and landmarks (the longest any generator
+#: makes is ``generate_highway``'s default 20 km road); a corrupt varint
+#: or f32 lane width (a lane's bounds include its width) decodes to
+#: absurd sizes that would make the spatial index enumerate billions of
+#: grid cells, so such records are rejected as corrupt instead of added.
+MAX_ELEMENT_EXTENT_M = 100_000.0
+
+#: Points coded per numpy pass when encoding. A pass allocates a few
+#: (2n, width) temporaries; at 1024 points they stay near or under
+#: glibc's 128 KiB mmap threshold, so encoding a whole shard's base map
+#: does not ratchet up the allocator's threshold and leave the freed
+#: temporaries resident in the heap of the router and every shard it
+#: forks.
+_BATCH_POINTS = 1024
+
+_U1 = np.uint64(1)
+_ZERO = np.zeros(1, dtype=np.int64)
+_COLUMNS = np.arange(MAX_VARINT_BYTES, dtype=np.int64)
+# Bit offset of each 7-bit group, and the smallest value needing k + 2
+# groups: a varint's width is 1 + the number of thresholds it reaches.
+_GROUP_SHIFTS = _COLUMNS.astype(np.uint64) * np.uint64(7)
+_WIDTH_THRESHOLDS = _U1 << _GROUP_SHIFTS[1:]
+
+
 def _zigzag(n: int) -> int:
     return (n << 1) ^ (n >> 63)
 
@@ -74,31 +106,36 @@ def _unzigzag(n: int) -> int:
     return (n >> 1) ^ -(n & 1)
 
 
-def _write_varint(buf: BytesIO, n: int) -> None:
+def _varint(n: int) -> bytes:
     if n < 0:
         raise StorageError("varint must be non-negative")
-    while True:
-        byte = n & 0x7F
+    out = bytearray()
+    while n > 0x7F:
+        out.append((n & 0x7F) | 0x80)
         n >>= 7
-        if n:
-            buf.write(bytes([byte | 0x80]))
-        else:
-            buf.write(bytes([byte]))
-            return
+    out.append(n)
+    return bytes(out)
+
+
+def _write_varint(buf: BytesIO, n: int) -> None:
+    buf.write(_varint(n))
 
 
 def _read_varint(buf: BytesIO) -> int:
     shift = 0
     out = 0
-    while True:
+    for _ in range(MAX_VARINT_BYTES):
         raw = buf.read(1)
         if not raw:
             raise StorageError("truncated varint")
         byte = raw[0]
         out |= (byte & 0x7F) << shift
         if not byte & 0x80:
+            if out >> 64:
+                raise StorageError("varint overflows 64 bits")
             return out
         shift += 7
+    raise StorageError(f"varint longer than {MAX_VARINT_BYTES} bytes")
 
 
 def _write_svarint(buf: BytesIO, n: int) -> None:
@@ -109,27 +146,134 @@ def _read_svarint(buf: BytesIO) -> int:
     return _unzigzag(_read_varint(buf))
 
 
+def _read_count(buf: BytesIO, unit: int = 1) -> int:
+    """A declared count of records that take ``unit`` bytes or more each,
+    checked against the bytes left before anything loops or allocates."""
+    n = _read_varint(buf)
+    pos = buf.tell()
+    left = buf.seek(0, 2) - pos
+    buf.seek(pos)
+    if n * unit > left:
+        raise StorageError(f"declared count {n} overruns the {left} "
+                           f"bytes left")
+    return n
+
+
+def _read_str(buf: BytesIO) -> str:
+    return buf.read(_read_count(buf)).decode()
+
+
 # ----------------------------------------------------------------------
-# Field helpers
+# Array-at-a-time polyline coding
 # ----------------------------------------------------------------------
-def _write_polyline(buf: BytesIO, line: Polyline) -> None:
-    q = np.round(line.points / QUANTUM).astype(np.int64)
-    _write_varint(buf, q.shape[0])
-    prev = np.zeros(2, dtype=np.int64)
-    for row in q:
-        _write_svarint(buf, int(row[0] - prev[0]))
-        _write_svarint(buf, int(row[1] - prev[1]))
-        prev = row
+def _quantised_records(q: np.ndarray, counts: Sequence[int]) -> List[bytes]:
+    """Polyline records of the consecutive runs of ``counts[i]`` points
+    in the ``(N, 2)`` int64 array ``q``: each run's point count, then each
+    (x, y) as zigzag deltas from the previous point of the run (the first
+    from the origin).
+
+    Every varint of every run is coded in one pass: row ``j`` of an
+    (2N, width) byte matrix holds value ``j``'s 7-bit groups, the
+    continuation bit is set on all but each row's last used column, and
+    the used columns are read out row-major by one ``tobytes()``, which
+    is then cut at the run boundaries.
+    """
+    heads = [_varint(n) for n in counts]
+    if q.shape[0] == 0:
+        return heads
+    firsts = np.cumsum(counts, dtype=np.int64) - np.asarray(counts,
+                                                           dtype=np.int64)
+    deltas = np.empty_like(q)
+    np.subtract(q[1:], q[:-1], out=deltas[1:])
+    starts = firsts[firsts < q.shape[0]]
+    deltas[starts] = q[starts]
+    deltas = deltas.reshape(-1)
+    zigzag = ((deltas.view(np.uint64) << _U1)
+              ^ (deltas >> np.int64(63)).view(np.uint64))
+    last = np.searchsorted(_WIDTH_THRESHOLDS, zigzag, side="right")[:, None]
+    width = int(last.max()) + 1
+    columns = _COLUMNS[:width]
+    groups = ((zigzag[:, None] >> _GROUP_SHIFTS[:width]).astype(np.uint8)
+              & np.uint8(0x7F))
+    groups |= (columns < last).view(np.uint8) << np.uint8(7)
+    data = groups[columns <= last].tobytes()
+    point_ends = np.cumsum((last + 1).reshape(-1, 2).sum(axis=1))
+    cuts = [0] + np.concatenate((_ZERO, point_ends))[
+        np.cumsum(counts, dtype=np.int64)].tolist()
+    return [head + data[lo:hi]
+            for head, lo, hi in zip(heads, cuts[:-1], cuts[1:])]
+
+
+def _polyline_points(element: MapElement) -> Optional[np.ndarray]:
+    """The vertices of ``element``'s one polyline, if it has one."""
+    if isinstance(element, (LaneBoundary, StopLine)):
+        return element.line.points
+    if isinstance(element, Lane):
+        return element.centerline.points
+    if isinstance(element, RoadSegment):
+        return element.reference_line.points
+    if isinstance(element, Crosswalk):
+        return Polyline(element.polygon).points
+    return None
+
+
+def _polyline_records(elements: Sequence[MapElement]) -> List[bytes]:
+    """Each element's polyline record (``b""`` if it has no polyline),
+    quantised to :data:`QUANTUM` and coded together, in batches of about
+    :data:`_BATCH_POINTS` points."""
+    points = [_polyline_points(e) for e in elements]
+    lines = [p for p in points if p is not None]
+    records: List[bytes] = []
+    first = total = 0
+    for i, line in enumerate(lines):
+        total += len(line)
+        if total >= _BATCH_POINTS or i == len(lines) - 1:
+            batch = lines[first:i + 1]
+            q = np.round(np.concatenate(batch) / QUANTUM).astype(np.int64)
+            records += _quantised_records(q, [len(p) for p in batch])
+            first, total = i + 1, 0
+    coded = iter(records)
+    return [b"" if p is None else next(coded) for p in points]
+
+
+def _read_quantised(buf: BytesIO) -> np.ndarray:
+    """Inverse of one :func:`_quantised_records` record: its ``(n, 2)``
+    int64 points.
+
+    The 2n varints end at the first 2n bytes below 0x80 of a window of
+    ``MAX_VARINT_BYTES`` bytes per varint; each varint's groups are
+    shifted into place and OR-reduced, un-zigzagged, then summed.
+    """
+    n = _read_count(buf, 2)
+    if n == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    m = 2 * n
+    start = buf.tell()
+    window = np.frombuffer(buf.read(MAX_VARINT_BYTES * m), dtype=np.uint8)
+    ends = np.flatnonzero(window < np.uint8(0x80))[:m]
+    if ends.size < m:
+        raise StorageError("truncated polyline")
+    used = int(ends[-1]) + 1
+    buf.seek(start + used)
+    firsts = np.concatenate((_ZERO, ends[:-1] + 1))
+    lengths = ends - firsts + 1
+    longest = int(lengths.max())
+    if longest > MAX_VARINT_BYTES:
+        raise StorageError(f"varint longer than {MAX_VARINT_BYTES} bytes")
+    group = np.arange(used, dtype=np.int64) - np.repeat(firsts, lengths)
+    low = window[:used] & np.uint8(0x7F)
+    if longest == MAX_VARINT_BYTES and np.any(
+            low[group == MAX_VARINT_BYTES - 1] > np.uint8(1)):
+        raise StorageError("varint overflows 64 bits")
+    zigzag = np.bitwise_or.reduceat(
+        low.astype(np.uint64) << _GROUP_SHIFTS.take(group), firsts)
+    deltas = ((zigzag >> _U1).view(np.int64)
+              ^ -(zigzag & _U1).view(np.int64))
+    return np.cumsum(deltas.reshape(n, 2), axis=0, dtype=np.int64)
 
 
 def _read_polyline(buf: BytesIO) -> Polyline:
-    n = _read_varint(buf)
-    pts = np.zeros((n, 2), dtype=np.int64)
-    prev = np.zeros(2, dtype=np.int64)
-    for i in range(n):
-        prev = prev + np.array([_read_svarint(buf), _read_svarint(buf)])
-        pts[i] = prev
-    return Polyline(pts.astype(float) * QUANTUM)
+    return Polyline(_read_quantised(buf).astype(float) * QUANTUM)
 
 
 def _write_point(buf: BytesIO, position: np.ndarray) -> None:
@@ -166,7 +310,7 @@ def _write_id_list(buf: BytesIO, ids: Iterable[ElementId],
 
 
 def _read_id_list(buf: BytesIO, kinds: List[str]) -> List[ElementId]:
-    n = _read_varint(buf)
+    n = _read_count(buf)
     out = []
     for _ in range(n):
         eid = _read_id(buf, kinds)
@@ -192,8 +336,10 @@ _SIGN_TYPES = list(SignType)
 _RULE_TYPES = list(RuleType)
 
 
-def _encode_element(buf: BytesIO, element: MapElement,
-                    kinds: List[str]) -> None:
+def _encode_element(buf: BytesIO, element: MapElement, kinds: List[str],
+                    polyline: bytes) -> None:
+    """Write ``element``'s record; ``polyline`` is its polyline record
+    from :func:`_polyline_records`."""
     tag = _TYPE_TAGS.get(type(element))
     if tag is None:
         raise StorageError(f"cannot encode {type(element).__name__}")
@@ -204,7 +350,7 @@ def _encode_element(buf: BytesIO, element: MapElement,
     elif isinstance(element, LaneBoundary):
         buf.write(bytes([_BOUNDARY_TYPES.index(element.boundary_type)]))
         _write_f32(buf, element.reflectivity)
-        _write_polyline(buf, element.line)
+        buf.write(polyline)
     elif isinstance(element, Lane):
         buf.write(bytes([_LANE_TYPES.index(element.lane_type)]))
         _write_f32(buf, element.width)
@@ -212,13 +358,13 @@ def _encode_element(buf: BytesIO, element: MapElement,
         _write_id(buf, element.left_boundary, kinds)
         _write_id(buf, element.right_boundary, kinds)
         _write_id(buf, element.segment, kinds)
-        _write_polyline(buf, element.centerline)
+        buf.write(polyline)
     elif isinstance(element, RoadSegment):
         _write_id(buf, element.start_node, kinds)
         _write_id(buf, element.end_node, kinds)
         _write_id_list(buf, element.forward_lanes, kinds)
         _write_id_list(buf, element.backward_lanes, kinds)
-        _write_polyline(buf, element.reference_line)
+        buf.write(polyline)
     elif isinstance(element, TrafficSign):
         buf.write(bytes([_SIGN_TYPES.index(element.sign_type)]))
         has_value = element.value is not None
@@ -245,9 +391,9 @@ def _encode_element(buf: BytesIO, element: MapElement,
             _write_varint(buf, len(raw))
             buf.write(raw)
     elif isinstance(element, Crosswalk):
-        _write_polyline(buf, Polyline(element.polygon))
+        buf.write(polyline)
     elif isinstance(element, StopLine):
-        _write_polyline(buf, element.line)
+        buf.write(polyline)
     elif isinstance(element, RegulatoryElement):
         buf.write(bytes([_RULE_TYPES.index(element.rule_type)]))
         has_value = element.value is not None
@@ -317,8 +463,7 @@ def _decode_element(buf: BytesIO, kinds: List[str]) -> MapElement:
         height = _read_f32(buf)
         refl = _read_f32(buf)
         position = _read_point(buf)
-        n = _read_varint(buf)
-        marking_type = buf.read(n).decode()
+        marking_type = _read_str(buf)
         return RoadMarking(id=eid, position=position, reflectivity=refl,
                            marking_type=marking_type)
     if element_type is Crosswalk:
@@ -354,37 +499,73 @@ def _referenced_ids(element: MapElement) -> List[Optional[ElementId]]:
     return []
 
 
+def encode_elements(name: str, version: int,
+                    elements: Sequence[MapElement]) -> bytes:
+    """HDMV bytes of a map called ``name`` at ``version`` holding exactly
+    ``elements``, in that order.
+
+    This is what :func:`encode_map` writes for such a map (whose
+    ``elements()`` order is spatial elements in insertion order, then
+    regulatory ones), without building an :class:`HDMap` and its spatial
+    index only to encode it: :meth:`TileStore.build` and the cluster
+    router encode per-tile and per-shard element lists this way.
+    """
+    kinds_set = {e.id.kind for e in elements}
+    for element in elements:
+        for ref in _referenced_ids(element):
+            if ref is not None:
+                kinds_set.add(ref.kind)
+    kinds = sorted(kinds_set)
+    body = BytesIO()
+    name_raw = name.encode()
+    _write_varint(body, len(name_raw))
+    body.write(name_raw)
+    _write_varint(body, version)
+    _write_varint(body, len(kinds))
+    for kind in kinds:
+        raw = kind.encode()
+        _write_varint(body, len(raw))
+        body.write(raw)
+    _write_varint(body, len(elements))
+    for element, polyline in zip(elements, _polyline_records(elements)):
+        _encode_element(body, element, kinds, polyline)
+    payload = zlib.compress(body.getvalue(), level=9)
+    header = MAGIC + struct.pack("<BI", VERSION, len(payload))
+    return header + payload
+
+
 def encode_map(hdmap: HDMap, simplify_tolerance: float = 0.0) -> bytes:
     """Encode a map to compact bytes.
 
     ``simplify_tolerance`` > 0 applies Douglas-Peucker to every polyline
     first — the lossy knob Li et al. turn to hit their 100 KB/mile.
     """
-    kinds_set = {e.id.kind for e in hdmap.elements()}
-    for element in hdmap.elements():
-        for ref in _referenced_ids(element):
-            if ref is not None:
-                kinds_set.add(ref.kind)
-    kinds = sorted(kinds_set)
-    body = BytesIO()
-    name_raw = hdmap.name.encode()
-    _write_varint(body, len(name_raw))
-    body.write(name_raw)
-    _write_varint(body, hdmap.version)
-    _write_varint(body, len(kinds))
-    for kind in kinds:
-        raw = kind.encode()
-        _write_varint(body, len(raw))
-        body.write(raw)
     elements = list(hdmap.elements())
-    _write_varint(body, len(elements))
-    for element in elements:
-        if simplify_tolerance > 0:
-            element = _simplified(element, simplify_tolerance)
-        _encode_element(body, element, kinds)
-    payload = zlib.compress(body.getvalue(), level=9)
-    header = MAGIC + struct.pack("<BI", VERSION, len(payload))
-    return header + payload
+    if simplify_tolerance > 0:
+        elements = [_simplified(e, simplify_tolerance) for e in elements]
+    return encode_elements(hdmap.name, hdmap.version, elements)
+
+
+#: Everything a corrupt body can make the element decoders raise besides
+#: :class:`StorageError`; the blob decoders report each as corrupt input.
+CORRUPT_BODY_ERRORS = (struct.error, IndexError, UnicodeDecodeError,
+                       ValueError, KeyError, OverflowError, GeometryError,
+                       MapModelError)
+
+
+def _checked_extent(element: MapElement) -> MapElement:
+    """``element`` if its bounds are finite, not inverted and no side is
+    longer than :data:`MAX_ELEMENT_EXTENT_M`; :class:`StorageError`
+    otherwise (regulatory elements have no bounds and always pass)."""
+    if isinstance(element, RegulatoryElement):
+        return element
+    min_x, min_y, max_x, max_y = element.bounds()
+    if not (0.0 <= max_x - min_x <= MAX_ELEMENT_EXTENT_M
+            and 0.0 <= max_y - min_y <= MAX_ELEMENT_EXTENT_M):
+        raise StorageError(
+            f"element {element.id} has implausible bounds "
+            f"{(min_x, min_y, max_x, max_y)}")
+    return element
 
 
 def decode_map(data) -> HDMap:
@@ -393,8 +574,11 @@ def decode_map(data) -> HDMap:
 
     Truncated, corrupt, or bad-magic input raises
     :class:`~repro.errors.StorageError` — raw ``struct.error`` /
-    ``zlib.error`` / ``IndexError`` never escape, so callers can treat
-    every undecodable blob uniformly.
+    ``zlib.error`` / ``IndexError`` / ``OverflowError`` / geometry errors
+    never escape, so callers can treat every undecodable blob uniformly.
+    Declared counts are checked against the bytes left, and an element
+    whose bounds could not come from a valid encode is rejected before
+    it reaches the map's spatial index (:data:`MAX_ELEMENT_EXTENT_M`).
     """
     data = bytes(data)
     if len(data) < 9:
@@ -411,21 +595,17 @@ def decode_map(data) -> HDMap:
     except zlib.error as exc:
         raise StorageError(f"corrupt HDMV payload: {exc}") from exc
     try:
-        name = body.read(_read_varint(body)).decode()
+        name = _read_str(body)
         map_version = _read_varint(body)
-        n_kinds = _read_varint(body)
-        kinds = [body.read(_read_varint(body)).decode()
-                 for _ in range(n_kinds)]
+        kinds = [_read_str(body) for _ in range(_read_count(body))]
         hdmap = HDMap(name)
         hdmap.version = map_version
-        n = _read_varint(body)
-        for _ in range(n):
-            hdmap.add(_decode_element(body, kinds))
+        for _ in range(_read_count(body)):
+            hdmap.add(_checked_extent(_decode_element(body, kinds)))
         return hdmap
     except StorageError:
         raise
-    except (struct.error, IndexError, UnicodeDecodeError,
-            ValueError, KeyError) as exc:
+    except CORRUPT_BODY_ERRORS as exc:
         raise StorageError(f"corrupt HDMV body: {exc}") from exc
 
 

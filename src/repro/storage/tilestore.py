@@ -21,7 +21,7 @@ from repro.core.elements import Lane, MapElement, PointLandmark
 from repro.core.hdmap import HDMap
 from repro.core.tiles import TileId, TileScheme
 from repro.errors import StorageError
-from repro.storage.binary import decode_map, encode_map
+from repro.storage.binary import decode_map, encode_elements
 
 
 @dataclass
@@ -132,10 +132,8 @@ class TileStore:
             for tile in store.scheme.tiles_for_bounds(bounds):
                 members.setdefault(tile, []).append(element)
         for tile, elements in members.items():
-            shard = HDMap(f"{hdmap.name}@{tile}")
-            for element in elements:
-                shard.add(element)
-            store._blobs[tile] = encode_map(shard)
+            store._blobs[tile] = encode_elements(f"{hdmap.name}@{tile}", 0,
+                                                 elements)
         return store
 
     @staticmethod
